@@ -73,20 +73,8 @@ def test_revsim_vector_generation(benchmark, network):
     benchmark(generator.generate, classes)
 
 
-def test_numpy_simulation_4096_patterns(benchmark, network):
-    """Wide-batch backend (numpy) on the same circuit."""
-    pytest.importorskip("numpy")
-    from repro.simulation.numpy_backend import NumpySimulator
-
-    simulator = NumpySimulator(network)
-    batch = PatternBatch.random_for(network, 4096, random.Random(0))
-    words = batch.words()
-
-    benchmark(simulator.run_words, words, 4096)
-
-
 def test_bigint_simulation_4096_patterns(benchmark, network):
-    """Big-int backend at the same width, for comparison."""
+    """Big-int backend on a wide (4096-pattern) batch."""
     simulator = Simulator(network)
     batch = PatternBatch.random_for(network, 4096, random.Random(0))
     words = batch.words()

@@ -31,7 +31,10 @@ class BenchmarkRun:
     cost_initial: int
     cost_final: int
     cost_history: list[int] = field(default_factory=list)
+    #: Simulation seconds (:attr:`SweepMetrics.sim_time`).
     sim_time: float = 0.0
+    #: Guided-vector generation seconds (:attr:`SweepMetrics.simgen_time`).
+    simgen_time: float = 0.0
     sat_calls: int = 0
     sat_time: float = 0.0
     proven: int = 0
@@ -163,6 +166,7 @@ class ExperimentRunner:
             cost_final=metrics.final_cost,
             cost_history=list(metrics.cost_history),
             sim_time=metrics.sim_time,
+            simgen_time=metrics.simgen_time,
             sat_calls=metrics.sat_calls,
             sat_time=metrics.sat_time,
             proven=metrics.proven,

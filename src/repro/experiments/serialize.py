@@ -28,6 +28,7 @@ def run_to_dict(run: BenchmarkRun) -> dict[str, Any]:
         "cost_final": run.cost_final,
         "cost_history": list(run.cost_history),
         "sim_time": run.sim_time,
+        "simgen_time": run.simgen_time,
         "sat_calls": run.sat_calls,
         "sat_time": run.sat_time,
         "proven": run.proven,

@@ -39,12 +39,15 @@ def _var_mask(num_vars: int, index: int) -> int:
 
     Bit ``m`` is set iff bit ``index`` of the minterm ``m`` is set — the
     constant that turns cofactoring into two shifts (see :meth:`cofactor`).
+    In closed form: the ``2h``-bit block "``h`` zeros, then ``h`` ones"
+    (``h = 2**index``) repeated across the table by multiplying with
+    ``full // (2**(2h) - 1)``, the number whose base-``2**(2h)`` digits
+    are all 1.  (Zero when ``index >= num_vars``, as no minterm has that
+    bit.)
     """
-    bits = 0
-    for m in range(1 << num_vars):
-        if (m >> index) & 1:
-            bits |= 1 << m
-    return bits
+    half = 1 << index
+    block = ((1 << half) - 1) << half
+    return block * (_FULL_MASKS[num_vars] // ((1 << (2 * half)) - 1))
 
 
 @dataclass(frozen=True, slots=True)

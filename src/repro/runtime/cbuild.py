@@ -7,7 +7,8 @@ portable C99 source file compiled into a shared object with whatever
 system compiler exists, cached by source hash so the build runs once per
 machine, loaded through ``ctypes``, and *optional* — when no compiler or
 writable cache directory is available the caller falls back to a
-pure-Python twin with identical trajectories.  This module is that
+pure-Python path with identical trajectories (the reference solver for
+SAT, the scalar compiled kernel for SimGen).  This module is that
 contract, factored out of :mod:`repro.sat.compiled` so every core shares
 one implementation of the corner cases:
 
@@ -134,13 +135,13 @@ class CoreLoader:
         self._warned = False
 
     def _warn_fallback(self, reason: str) -> None:
-        """One-time heads-up that this process runs the pure-Python twin."""
+        """One-time heads-up that this process runs the pure-Python path."""
         if self._warned:
             return
         self._warned = True
         warnings.warn(
             f"{self.describe} unavailable ({reason}); falling back to the "
-            "pure-Python twin (identical results, slower)",
+            "pure-Python path (identical results, slower)",
             RuntimeWarning,
             stacklevel=4,
         )

@@ -45,7 +45,6 @@
  * returns. */
 #define UNSAT_EARLY_RESULT 3
 
-#define LEARNT_CAP_INIT 4000
 #define LEARNT_CAP_GROWTH 1.3
 #define BUDGET_CHECK_INTERVAL 2048
 
@@ -154,13 +153,15 @@ static void update_arena_hw(Solver *s) {
 /* ------------------------------------------------------------------ */
 /* Construction                                                        */
 /* ------------------------------------------------------------------ */
-Solver *sat_new(void) {
+/* learnt_cap: the initial reduction threshold, the wrapper's
+ * LEARNT_CAP_INIT (the reference's, unless a subclass lowers it). */
+Solver *sat_new(int64_t learnt_cap) {
     Solver *s = (Solver *)calloc(1, sizeof(Solver));
     if (!s) return NULL;
     s->ok = 1;
     s->var_inc = 1.0;
     s->var_decay = 0.95;
-    s->learnt_cap = LEARNT_CAP_INIT;
+    s->learnt_cap = learnt_cap;
     return s;
 }
 

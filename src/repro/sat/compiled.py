@@ -32,15 +32,17 @@ explicit):
 
 The core itself is ``_satcore.c``, compiled on first import with the
 system C compiler (result cached by source hash, so the build runs once
-per machine) and driven through ``ctypes``.  When no compiler is
-available — or ``REPRO_SATCORE=python`` forces it — the same arena design
-runs as :class:`PyArenaCdclSolver`, a pure-Python twin with identical
-trajectories; ``SAT_CORE`` says which core is active in this process.
+per machine) and driven through ``ctypes``.  When it is unavailable — no
+compiler, a cache that cannot be repaired, or ``REPRO_SATCORE=python`` —
+the ``"compiled"`` backend degrades to the reference
+:class:`~repro.sat.solver.CdclSolver` itself; ``SAT_CORE`` says which core
+is active in this process.
 
-Both cores are **bit-identical** to the reference: same verdicts, models,
+The C core is **bit-identical** to the reference: same verdicts, models,
 conflict / propagation / decision counts, learnt-clause trajectories, and
 budget expiry points.  The differential-fuzz suite under ``tests/sat/``
-and the perf harness's work-count identity assertion hold them to it.
+and the perf harness's work-count identity assertion hold it to that, so
+the fallback changes speed, never results.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ _SOURCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_satcor
 def _configure(lib: ctypes.CDLL) -> None:
     handle = ctypes.c_void_p
     i32p = ctypes.POINTER(ctypes.c_int32)
-    lib.sat_new.argtypes = []
+    lib.sat_new.argtypes = [ctypes.c_int64]
     lib.sat_new.restype = handle
     lib.sat_free.argtypes = [handle]
     lib.sat_free.restype = None
@@ -148,7 +150,8 @@ def _load_satcore() -> Optional[ctypes.CDLL]:
 _LIB = _load_satcore()
 
 #: Which core backs :class:`CompiledCdclSolver` in this process: ``"c"``
-#: when ``_satcore.c`` compiled and loaded, ``"python"`` otherwise.
+#: when ``_satcore.c`` compiled and loaded, ``"python"`` (the reference
+#: solver) otherwise.
 SAT_CORE = "c" if _LIB is not None else "python"
 
 
@@ -174,7 +177,7 @@ class CArenaCdclSolver:
                 "(no C compiler, or REPRO_SATCORE=python)"
             )
         self._lib = _LIB
-        self._handle = self._lib.sat_new()
+        self._handle = self._lib.sat_new(self.LEARNT_CAP_INIT)
         if not self._handle:
             raise SatError("satcore allocation failed")
         self._model: Optional[dict[int, bool]] = None
@@ -333,7 +336,7 @@ class CArenaCdclSolver:
 
     @property
     def stats(self) -> dict:
-        """Counter snapshot, same keys as the Python cores plus arena/GC."""
+        """Counter snapshot, same keys as the reference solver plus arena/GC."""
         raw = (ctypes.c_int64 * 10)()
         self._lib.sat_get_stats(self._handle, raw)
         return {
@@ -352,660 +355,6 @@ class CArenaCdclSolver:
         }
 
 
-class PyArenaCdclSolver:
-    """Pure-Python arena core: the no-compiler fallback, bit-identical.
-
-    Same flat-arena / inline-blocker / indexed-heap design as the C core,
-    expressed with Python lists (tuples for watch entries — measured
-    faster than ``array``-backed vectors under CPython's int boxing).
-    """
-
-    _UNASSIGNED = -1
-
-    LEARNT_CAP_INIT = CdclSolver.LEARNT_CAP_INIT
-    LEARNT_CAP_GROWTH = CdclSolver.LEARNT_CAP_GROWTH
-    BUDGET_CHECK_INTERVAL = CdclSolver.BUDGET_CHECK_INTERVAL
-
-    def __init__(self) -> None:
-        self._num_vars = 0
-        #: The clause arena: ``[len, lit0, .., litk, len, lit0, ..]``.
-        self._arena = []
-        #: Live learnt clauses: cref -> LBD at learn time.
-        self._learnts: dict[int, int] = {}
-        self._learnt_cap = self.LEARNT_CAP_INIT
-        #: Per-literal watch vectors of ``(cref, blocker)`` tuples, indexed
-        #: by internal literal (slots 0/1 unused).
-        self._watches: list[list] = [[], []]
-        #: Per-literal truth: 1 true, 0 false, -1 unassigned (slots 0/1
-        #: unused).  ``vals[l]`` and ``vals[l^1]`` are updated together.
-        self._vals: list[int] = [-1, -1]
-        # Per-variable state, 1-indexed (index 0 unused).
-        self._level: list[int] = [0]
-        self._reason: list[int] = [-1]  # cref or -1
-        self._activity: list[float] = [0.0]
-        self._phase: list[int] = [0]
-        #: Branching max-heap of variables, keyed (activity desc, var asc);
-        #: ``_heap_pos[v]`` is v's heap index or -1.  Lazy: assigned vars
-        #: are filtered at pop time and re-inserted on backtrack.
-        self._heap: list[int] = []
-        self._heap_pos: list[int] = [-1]
-        self._trail: list[int] = []  # internal literals in assignment order
-        self._trail_lim: list[int] = []
-        self._qhead = 0
-        self._ok = True
-        self._var_inc = 1.0
-        self._var_decay = 0.95
-        self.stats = {
-            "decisions": 0,
-            "conflicts": 0,
-            "propagations": 0,
-            "restarts": 0,
-            "learnts_deleted": 0,
-            "reductions": 0,
-            "solve_calls": 0,
-            "solve_seconds": 0.0,
-            "watchers_compacted": 0,
-            "arena_bytes": 0,
-            "arena_gcs": 0,
-            "arena_words_reclaimed": 0,
-        }
-
-    # ------------------------------------------------------------------
-    # Problem construction
-    # ------------------------------------------------------------------
-    def new_var(self) -> int:
-        """Allocate a fresh variable; returns its DIMACS index."""
-        self._num_vars += 1
-        self._vals.extend((-1, -1))
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._phase.append(0)
-        self._watches.append([])
-        self._watches.append([])
-        self._heap_pos.append(-1)
-        self._heap_insert(self._num_vars)
-        return self._num_vars
-
-    def _ensure_vars(self, var: int) -> None:
-        while self._num_vars < var:
-            self.new_var()
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-    def add_clause(self, literals: Iterable[int]) -> bool:
-        """Add a clause (DIMACS literals); returns False if trivially UNSAT.
-
-        Same root-level simplification as the reference solver: tautologies
-        and root-satisfied clauses are dropped, root-falsified literals are
-        stripped, units are enqueued and propagated.
-        """
-        if self._trail_lim:
-            raise SatError("add_clause only allowed at decision level 0")
-        seen: set[int] = set()
-        clause: list[int] = []
-        for lit in literals:
-            if lit == 0:
-                raise SatError("literal 0 is not allowed")
-            var = lit if lit > 0 else -lit
-            ilit = (var << 1) | (1 if lit < 0 else 0)
-            if var > self._num_vars:
-                self._ensure_vars(var)
-            if (ilit ^ 1) in seen:
-                return True  # tautology
-            if ilit in seen:
-                continue
-            value = self._vals[ilit]
-            if value == 1 and self._level[var] == 0:
-                return True  # satisfied at root
-            if value == 0 and self._level[var] == 0:
-                continue  # falsified at root: drop literal
-            seen.add(ilit)
-            clause.append(ilit)
-        if not clause:
-            self._ok = False
-            return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], -1):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict >= 0:
-                self._ok = False
-                return False
-            return True
-        self._attach_clause(clause)
-        return True
-
-    def add_cnf(self, cnf: Cnf) -> bool:
-        """Add all clauses of a :class:`~repro.sat.cnf.Cnf`."""
-        self._ensure_vars(cnf.num_vars)
-        ok = True
-        for clause in cnf:
-            ok = self.add_clause(clause) and ok
-        return ok
-
-    def _attach_clause(self, clause: list[int], lbd: Optional[int] = None) -> int:
-        arena = self._arena
-        cref = len(arena)
-        arena.append(len(clause))
-        arena.extend(clause)
-        first, second = clause[0], clause[1]
-        self._watches[first].append((cref, second))
-        self._watches[second].append((cref, first))
-        if lbd is not None:
-            self._learnts[cref] = lbd
-        return cref
-
-    # ------------------------------------------------------------------
-    # Learnt-DB reduction and arena GC
-    # ------------------------------------------------------------------
-    def _reduce_learnts(self) -> None:
-        """Delete the worst half of the removable learnt clauses.
-
-        Same ranking as the reference solver: (LBD desc, length desc, cref
-        desc) — crefs are monotone in attachment order, so the ordering
-        matches the reference's clause-index tiebreak exactly.  Deletion
-        tombstones the header (negated length); the watch vectors are then
-        compacted eagerly and the arena GC'd, so no tombstone is ever seen
-        by propagation.
-        """
-        arena = self._arena
-        learnts = self._learnts
-        locked = {self._reason[ilit >> 1] for ilit in self._trail}
-        removable = sorted(
-            (
-                cref
-                for cref, lbd in learnts.items()
-                if lbd > 2 and cref not in locked
-            ),
-            key=lambda cref: (-learnts[cref], -arena[cref], -cref),
-        )
-        deleted = removable[: len(removable) // 2]
-        for cref in deleted:
-            arena[cref] = -arena[cref]
-            del learnts[cref]
-        self.stats["learnts_deleted"] += len(deleted)
-        self.stats["reductions"] += 1
-        self._learnt_cap = int(self._learnt_cap * self.LEARNT_CAP_GROWTH)
-        if deleted:
-            self._gc_arena()
-
-    def _gc_arena(self) -> None:
-        """Compact the arena and every watch vector in one pass.
-
-        Survivors slide down in attachment order (monotone cref remap);
-        crefs in watch vectors, trail reasons, and the learnt map are
-        rewritten, and watch entries of deleted clauses are dropped —
-        this is the eager watcher compaction (deleted clauses never linger
-        in the watch lists of rarely-falsified literals).
-        """
-        arena = self._arena
-        old_bytes = len(arena) * 4
-        if old_bytes > self.stats["arena_bytes"]:
-            self.stats["arena_bytes"] = old_bytes
-        new_arena = []
-        remap: dict[int, int] = {}
-        i = 0
-        end = len(arena)
-        while i < end:
-            size = arena[i]
-            if size > 0:
-                remap[i] = len(new_arena)
-                new_arena.extend(arena[i : i + 1 + size])
-                i += 1 + size
-            else:
-                i += 1 - size  # tombstone: header is the negated length
-        dropped = 0
-        for lit in range(len(self._watches)):
-            watch = self._watches[lit]
-            if not watch:
-                continue
-            kept = []
-            for entry in watch:
-                new_cref = remap.get(entry[0])
-                if new_cref is None:
-                    dropped += 1
-                elif new_cref == entry[0]:
-                    kept.append(entry)
-                else:
-                    kept.append((new_cref, entry[1]))
-            self._watches[lit] = kept
-        reason = self._reason
-        for ilit in self._trail:
-            var = ilit >> 1
-            if reason[var] >= 0:
-                reason[var] = remap[reason[var]]
-        self._learnts = {remap[c]: lbd for c, lbd in self._learnts.items()}
-        self.stats["watchers_compacted"] += dropped
-        self.stats["arena_gcs"] += 1
-        self.stats["arena_words_reclaimed"] += end - len(new_arena)
-        self._arena = new_arena
-
-    # ------------------------------------------------------------------
-    # Assignment machinery
-    # ------------------------------------------------------------------
-    def _value(self, ilit: int) -> int:
-        """1 if literal true, 0 if false, -1 otherwise (cold paths only)."""
-        return self._vals[ilit]
-
-    def _enqueue(self, ilit: int, reason: int) -> bool:
-        vals = self._vals
-        value = vals[ilit]
-        if value == 0:
-            return False
-        if value == 1:
-            return True
-        var = ilit >> 1
-        vals[ilit] = 1
-        vals[ilit ^ 1] = 0
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
-        self._trail.append(ilit)
-        return True
-
-    def _propagate(self) -> int:
-        """Unit propagation; returns the conflicting cref or -1.
-
-        The hot loop: everything is a flat array access.  A watch entry
-        whose blocker is true is kept untouched (no arena access); on any
-        other visit the clause is normalised (false literal to slot 1), a
-        replacement watch is searched, and the entry is either moved, kept
-        with a refreshed blocker, or turned into a unit/conflict — exactly
-        the reference solver's discipline, in the same order.
-        """
-        vals = self._vals
-        watches = self._watches
-        arena = self._arena
-        trail = self._trail
-        level = self._level
-        reason = self._reason
-        current_level = len(self._trail_lim)
-        qhead = self._qhead
-        props = 0
-        conflict = -1
-        while qhead < len(trail):
-            ilit = trail[qhead]
-            qhead += 1
-            props += 1
-            false_lit = ilit ^ 1
-            watch = watches[false_lit]
-            if not watch:
-                continue
-            keep = []
-            keep_append = keep.append
-            it = iter(watch)
-            for entry in it:
-                blocker = entry[1]
-                if vals[blocker] == 1:
-                    keep_append(entry)
-                    continue
-                cref = entry[0]
-                base = cref + 1
-                size = arena[cref]
-                if arena[base] == false_lit:
-                    arena[base] = arena[base + 1]
-                    arena[base + 1] = false_lit
-                first = arena[base]
-                if first != blocker and vals[first] == 1:
-                    keep_append((cref, first))
-                    continue
-                moved = False
-                for k in range(base + 2, base + size):
-                    lk = arena[k]
-                    if vals[lk] != 0:
-                        arena[base + 1] = lk
-                        arena[k] = false_lit
-                        watches[lk].append((cref, first))
-                        moved = True
-                        break
-                if moved:
-                    continue
-                keep_append((cref, first))
-                value = vals[first]
-                if value == 0:
-                    conflict = cref
-                    keep.extend(it)
-                    break
-                if value == -1:
-                    var = first >> 1
-                    vals[first] = 1
-                    vals[first ^ 1] = 0
-                    level[var] = current_level
-                    reason[var] = cref
-                    trail.append(first)
-            watches[false_lit] = keep
-            if conflict >= 0:
-                break
-        self._qhead = qhead
-        self.stats["propagations"] += props
-        return conflict
-
-    def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
-            return
-        bound = self._trail_lim[level]
-        trail = self._trail
-        vals = self._vals
-        phase = self._phase
-        reason = self._reason
-        heap_pos = self._heap_pos
-        for idx in range(len(trail) - 1, bound - 1, -1):
-            var = trail[idx] >> 1
-            pos_lit = var << 1
-            phase[var] = vals[pos_lit]
-            vals[pos_lit] = -1
-            vals[pos_lit | 1] = -1
-            reason[var] = -1
-            if heap_pos[var] < 0:
-                self._heap_insert(var)
-        del trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(trail))
-
-    # ------------------------------------------------------------------
-    # Activity heap
-    # ------------------------------------------------------------------
-    # Max-heap under the total order (activity desc, var asc) — the exact
-    # order the reference's first-strict-max linear scan resolves to, so
-    # the popped variable always equals the scanned argmax.
-
-    def _heap_insert(self, var: int) -> None:
-        heap = self._heap
-        heap.append(var)
-        self._heap_pos[var] = len(heap) - 1
-        self._sift_up(len(heap) - 1)
-
-    def _sift_up(self, i: int) -> None:
-        heap = self._heap
-        pos = self._heap_pos
-        activity = self._activity
-        var = heap[i]
-        act = activity[var]
-        while i > 0:
-            parent = (i - 1) >> 1
-            pvar = heap[parent]
-            pact = activity[pvar]
-            if pact > act or (pact == act and pvar < var):
-                break
-            heap[i] = pvar
-            pos[pvar] = i
-            i = parent
-        heap[i] = var
-        pos[var] = i
-
-    def _sift_down(self, i: int) -> None:
-        heap = self._heap
-        pos = self._heap_pos
-        activity = self._activity
-        size = len(heap)
-        var = heap[i]
-        act = activity[var]
-        while True:
-            child = 2 * i + 1
-            if child >= size:
-                break
-            cvar = heap[child]
-            cact = activity[cvar]
-            right = child + 1
-            if right < size:
-                rvar = heap[right]
-                ract = activity[rvar]
-                if ract > cact or (ract == cact and rvar < cvar):
-                    child = right
-                    cvar = rvar
-                    cact = ract
-            if act > cact or (act == cact and var < cvar):
-                break
-            heap[i] = cvar
-            pos[cvar] = i
-            i = child
-        heap[i] = var
-        pos[var] = i
-
-    def _heap_pop(self) -> int:
-        heap = self._heap
-        pos = self._heap_pos
-        top = heap[0]
-        pos[top] = -1
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._sift_down(0)
-        return top
-
-    def _rebuild_heap(self) -> None:
-        """Re-heapify in place (after an activity rescale collapses ties)."""
-        for i in range(len(self._heap) // 2 - 1, -1, -1):
-            self._sift_down(i)
-        # _sift_down refreshes positions along each path; fix the rest.
-        for i, var in enumerate(self._heap):
-            self._heap_pos[var] = i
-
-    # ------------------------------------------------------------------
-    # Conflict analysis
-    # ------------------------------------------------------------------
-    def _bump(self, var: int) -> None:
-        activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Rescaling can collapse distinct activities into ties, which
-            # re-orders the (activity, var) total order; rebuild the heap
-            # so pops keep matching the reference's rescan-every-time scan.
-            self._rebuild_heap()
-        elif self._heap_pos[var] >= 0:
-            self._sift_up(self._heap_pos[var])
-
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
-        """First-UIP analysis; returns (learnt clause, backjump level)."""
-        arena = self._arena
-        level = self._level
-        trail = self._trail
-        reason = self._reason
-        current = len(self._trail_lim)
-        learnt: list[int] = [0]  # placeholder for the asserting literal
-        seen = bytearray(self._num_vars + 1)
-        counter = 0
-        p = -1
-        index = len(trail) - 1
-        cref = conflict
-        while True:
-            base = cref + 1
-            start = base if p == -1 else base + 1
-            for qi in range(start, base + arena[cref]):
-                q = arena[qi]
-                var = q >> 1
-                if not seen[var] and level[var] > 0:
-                    seen[var] = 1
-                    self._bump(var)
-                    if level[var] >= current:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            # Find the next literal on the trail to resolve on.
-            while not seen[trail[index] >> 1]:
-                index -= 1
-            p = trail[index]
-            index -= 1
-            var = p >> 1
-            seen[var] = 0
-            counter -= 1
-            if counter == 0:
-                break
-            cref = reason[var]
-        learnt[0] = p ^ 1
-        if len(learnt) == 1:
-            return learnt, 0
-        # Backjump to the second-highest level in the clause; move that
-        # literal to watch position 1.
-        max_i = 1
-        for i in range(2, len(learnt)):
-            if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
-                max_i = i
-        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, level[learnt[1] >> 1]
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def _pick_branch(self) -> int:
-        vals = self._vals
-        heap = self._heap
-        while heap:
-            var = self._heap_pop()
-            if vals[var << 1] == -1:
-                return (var << 1) | (self._phase[var] ^ 1)
-        return -1
-
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        conflict_limit: Optional[int] = None,
-        budget=None,
-    ) -> SatResult:
-        """Run the CDCL search (same contract as the reference solver)."""
-        start = time.perf_counter()
-        try:
-            return self._solve(assumptions, conflict_limit, budget)
-        finally:
-            self.stats["solve_calls"] += 1
-            self.stats["solve_seconds"] += time.perf_counter() - start
-            arena_bytes = len(self._arena) * 4
-            if arena_bytes > self.stats["arena_bytes"]:
-                self.stats["arena_bytes"] = arena_bytes
-
-    def _solve(
-        self,
-        assumptions: Sequence[int],
-        conflict_limit: Optional[int],
-        budget,
-    ) -> SatResult:
-        if not self._ok:
-            return SatResult.UNSAT
-        if budget is not None and (
-            budget.time_expired() or budget.remaining_conflicts() == 0
-        ):
-            self._model = None
-            return SatResult.UNKNOWN
-        self._cancel_until(0)
-        conflict = self._propagate()
-        if conflict >= 0:
-            self._ok = False
-            return SatResult.UNSAT
-
-        assumption_lits = []
-        for lit in assumptions:
-            if lit == 0:
-                raise SatError("literal 0 is not allowed")
-            var = lit if lit > 0 else -lit
-            if var > self._num_vars:
-                self._ensure_vars(var)
-            assumption_lits.append((var << 1) | (1 if lit < 0 else 0))
-
-        if budget is not None:
-            remaining = budget.remaining_conflicts()
-            if remaining is not None and (
-                conflict_limit is None or remaining < conflict_limit
-            ):
-                conflict_limit = remaining
-        stats = self.stats
-        next_time_check = (
-            stats["propagations"] + self.BUDGET_CHECK_INTERVAL
-            if budget is not None
-            else None
-        )
-
-        vals = self._vals
-        level = self._level
-        conflicts_seen = 0
-        restart_budget = 64
-        result = SatResult.UNKNOWN
-        while True:
-            conflict = self._propagate()
-            if (
-                next_time_check is not None
-                and stats["propagations"] >= next_time_check
-            ):
-                next_time_check = (
-                    stats["propagations"] + self.BUDGET_CHECK_INTERVAL
-                )
-                if budget.time_expired():
-                    result = SatResult.UNKNOWN
-                    break
-            if conflict >= 0:
-                conflicts_seen += 1
-                stats["conflicts"] += 1
-                if len(self._trail_lim) <= len(assumption_lits):
-                    result = SatResult.UNSAT
-                    break
-                learnt, back = self._analyze(conflict)
-                lbd = len({level[q >> 1] for q in learnt})
-                self._cancel_until(back)
-                if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], -1):
-                        result = SatResult.UNSAT
-                        break
-                else:
-                    cref = self._attach_clause(learnt, lbd=lbd)
-                    self._enqueue(learnt[0], cref)
-                self._var_inc /= self._var_decay
-                if conflict_limit is not None and conflicts_seen >= conflict_limit:
-                    result = SatResult.UNKNOWN
-                    break
-                if conflicts_seen >= restart_budget:
-                    restart_budget = int(restart_budget * 1.5)
-                    stats["restarts"] += 1
-                    self._cancel_until(0)
-                    if len(self._learnts) >= self._learnt_cap:
-                        self._reduce_learnts()
-                continue
-
-            # No conflict: extend assumptions, then decide.
-            depth = len(self._trail_lim)
-            if depth < len(assumption_lits):
-                ilit = assumption_lits[depth]
-                value = vals[ilit]
-                if value == 0:
-                    result = SatResult.UNSAT
-                    break
-                self._trail_lim.append(len(self._trail))
-                if value != 1:
-                    self._enqueue(ilit, -1)
-                continue
-            decision = self._pick_branch()
-            if decision == -1:
-                result = SatResult.SAT
-                break
-            stats["decisions"] += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(decision, -1)
-
-        if budget is not None:
-            budget.charge_conflicts(conflicts_seen)
-        if result is SatResult.SAT:
-            self._model = {
-                var: bool(vals[var << 1])
-                for var in range(1, self._num_vars + 1)
-                if vals[var << 1] != -1
-            }
-        else:
-            self._model = None
-        self._cancel_until(0)
-        return result
-
-    def model(self) -> dict[int, bool]:
-        """The satisfying assignment of the last SAT solve call."""
-        if getattr(self, "_model", None) is None:
-            raise SatError("no model available (last result was not SAT)")
-        return dict(self._model)
-
-
 #: The "compiled" backend's solver class in this process: the C arena core
-#: when it built and loaded, the pure-Python arena twin otherwise.
-CompiledCdclSolver = CArenaCdclSolver if _LIB is not None else PyArenaCdclSolver
+#: when it built and loaded, the reference oracle otherwise.
+CompiledCdclSolver = CArenaCdclSolver if _LIB is not None else CdclSolver

@@ -11,14 +11,12 @@ from repro.simulation.bitvec import (
 )
 from repro.simulation.patterns import InputVector, PatternBatch
 from repro.simulation.compiled import CompiledSimulator
-from repro.simulation.numpy_backend import NumpySimulator
 from repro.simulation.quality import VectorQuality, batch_quality, distinguishing_power
 from repro.simulation.simulator import Simulator, cone_function, simulate
 
 __all__ = [
     "CompiledSimulator",
     "InputVector",
-    "NumpySimulator",
     "PatternBatch",
     "Simulator",
     "VectorQuality",

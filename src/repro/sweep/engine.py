@@ -79,8 +79,8 @@ class SweepConfig:
     #: Non-SimGen generators are unaffected.
     simgen_backend: Optional[str] = None
     #: SAT solver backend for the equivalence queries: ``"compiled"`` runs
-    #: the arena-backed CDCL core (:mod:`repro.sat.compiled`; C via ctypes
-    #: when a compiler is available, pure-Python arena otherwise),
+    #: the C arena CDCL core (:mod:`repro.sat.compiled`, via ctypes), or
+    #: the reference solver when the core is unavailable;
     #: ``"reference"`` the original :class:`repro.sat.solver.CdclSolver`.
     #: Both follow bit-identical solver trajectories (verdicts, models,
     #: conflict counts, budget-expiry points).  An explicit
@@ -377,15 +377,17 @@ class SweepEngine:
         """Random rounds, then guided iterations; returns classes + metrics."""
         config = self.config
         metrics = SweepMetrics()
-        classes = EquivalenceClasses(
-            self.network,
-            include_pis=config.include_pis,
-            match_complements=config.match_complements,
-        )
         budget = config.budget
         tracer = self.tracer
-        start = time.perf_counter()
+        # Class set-up runs inside the phase span (so the trace covers the
+        # run's wall clock) but outside sim_time (it simulates nothing).
         with tracer.span("phase", phase="random"):
+            classes = EquivalenceClasses(
+                self.network,
+                include_pis=config.include_pis,
+                match_complements=config.match_complements,
+            )
+            start = time.perf_counter()
             try:
                 for round_index in range(max(1, config.random_rounds)):
                     batch = PatternBatch(
@@ -479,25 +481,28 @@ class SweepEngine:
             return result
         if config.jobs > 1:
             return self._run_sat_phase_parallel(classes, metrics, result)
-        checker = PairChecker(
-            self.network,
-            conflict_limit=config.sat_conflict_limit,
-            incremental=self._incremental,
-            budget=budget,
-            solver_factory=config.solver_factory,
-            max_retries=config.solver_retries,
-            sat_backend=config.sat_backend,
-        )
-        ladder_on = (
-            config.max_escalations > 0 and config.sat_conflict_limit is not None
-        )
-        escalation_queue: list[tuple[int, int, bool, int]] = []
-        self._pending_cex.clear()
-        self._resim_sim = self.simulator
-        self._resim_targets = classes.num_members
-        compiled = self._compiled
-        start = time.perf_counter()
+        # Checker set-up runs inside the phase span (so the trace covers the
+        # run's wall clock) but outside sat_phase_time.
         with tracer.span("phase", phase="sat"):
+            checker = PairChecker(
+                self.network,
+                conflict_limit=config.sat_conflict_limit,
+                incremental=self._incremental,
+                budget=budget,
+                solver_factory=config.solver_factory,
+                max_retries=config.solver_retries,
+                sat_backend=config.sat_backend,
+            )
+            ladder_on = (
+                config.max_escalations > 0
+                and config.sat_conflict_limit is not None
+            )
+            escalation_queue: list[tuple[int, int, bool, int]] = []
+            self._pending_cex.clear()
+            self._resim_sim = self.simulator
+            self._resim_targets = classes.num_members
+            compiled = self._compiled
+            start = time.perf_counter()
             try:
                 while True:
                     if budget is not None and budget.expired():

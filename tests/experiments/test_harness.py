@@ -60,6 +60,51 @@ class TestTable1:
         assert "paper" in text.lower()
 
 
+class TestTable1Columns:
+    def test_columns_read_pinned_sweep_metrics(self, monkeypatch):
+        """Cost reads ``final_cost``; runtime reads ``sim_time +
+        simgen_time`` (generation + simulation, as the paper's SimRT)."""
+        import repro.experiments.runner as runner_mod
+        from repro.sweep.engine import SweepMetrics
+        from tests.conftest import random_network
+
+        class PinnedEngine:
+            def __init__(self, network, generator, config):
+                self.strategy = generator
+
+            def run_simulation_phase(self):
+                revs = self.strategy == "RevS"
+                metrics = SweepMetrics(
+                    cost_history=[100, 50 if revs else 40],
+                    sim_time=1.0,
+                    simgen_time=1.0 if revs else 3.0,
+                    sat_time=7.0,
+                )
+                return None, metrics
+
+        monkeypatch.setattr(runner_mod, "SweepEngine", PinnedEngine)
+        monkeypatch.setattr(
+            runner_mod, "make_generator", lambda strategy, *a, **k: strategy
+        )
+        pinned = ExperimentRunner(TINY)
+        network = random_network(seed=0)
+        monkeypatch.setattr(pinned, "instance", lambda *a, **k: network)
+        result = run_table1(TINY, pinned)
+        for strategy in STRATEGY_NAMES:
+            expected_cost = 1.0 if strategy == "RevS" else 0.8
+            expected_runtime = 1.0 if strategy == "RevS" else 2.0
+            assert result.avg_cost[strategy] == pytest.approx(expected_cost)
+            assert result.aggregate_cost[strategy] == pytest.approx(
+                expected_cost
+            )
+            assert result.avg_runtime[strategy] == pytest.approx(
+                expected_runtime
+            )
+            assert result.aggregate_runtime[strategy] == pytest.approx(
+                expected_runtime
+            )
+
+
 class TestTable2:
     def test_rows_and_render(self, runner):
         result = run_table2(TINY, runner)

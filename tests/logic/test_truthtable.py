@@ -1,5 +1,7 @@
 """Unit and property tests for TruthTable."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +30,26 @@ class TestConstruction:
         assert tt.const_value() == 1
 
     def test_var_semantics(self):
-        tt = TruthTable.var(3, 1)
-        for m in range(8):
-            assert tt.output_for(m) == (m >> 1) & 1
+        """Every projection up to MAX_VARS: output bit m is bit i of m.
+
+        Small arities check every minterm; large ones a fixed sample that
+        includes both ends of every ``2**i`` block boundary.
+        """
+        rng = random.Random(0)
+        for n in range(MAX_VARS + 1):
+            size = 1 << n
+            if n <= 8:
+                minterms = range(size)
+            else:
+                minterms = {0, size - 1, *rng.sample(range(size), 200)}
+                for i in range(n):
+                    minterms.update({(1 << i) - 1, 1 << i})
+            for i in range(n):
+                tt = TruthTable.var(n, i)
+                assert tt.bits >> size == 0
+                assert tt.count_ones() == size // 2
+                for m in minterms:
+                    assert tt.output_for(m) == (m >> i) & 1, (n, i, m)
 
     def test_var_out_of_range(self):
         with pytest.raises(LogicError):

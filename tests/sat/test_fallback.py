@@ -1,11 +1,16 @@
 """Graceful degradation of the compiled SAT core.
 
 A missing compiler or a corrupt cached ``.so`` must never take the run
-down: the loader falls back to :class:`PyArenaCdclSolver` with a one-time
-warning (and repairs a damaged cache by rebuilding it once).
+down: the loader falls back to the reference :class:`CdclSolver` (the
+oracle) with a one-time warning, and repairs a damaged cache by
+rebuilding it once.  The fallback changes speed, never results.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +91,54 @@ class TestCorruptCache:
         ]
         assert len(fallback) == 1
         assert "corrupt" in str(fallback[0].message)
+
+
+def _run(argv, cwd, satcore=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(
+        Path(__file__).resolve().parents[2] / "src"
+    ) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_SATCORE", None)
+    if satcore is not None:
+        env["REPRO_SATCORE"] = satcore
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestFallbackIsOracle:
+    def test_python_opt_out_selects_reference_solver(self, tmp_path):
+        out = _run(
+            ["-c", (
+                "from repro.sat.compiled import SAT_CORE, solver_class\n"
+                "from repro.sat.solver import CdclSolver\n"
+                "assert solver_class('compiled') is CdclSolver\n"
+                "print(SAT_CORE)"
+            )],
+            tmp_path, satcore="python",
+        )
+        assert out.strip() == "python"
+
+    @pytest.mark.skipif(
+        compiled.SAT_CORE != "c", reason="needs a working C toolchain"
+    )
+    def test_fallback_sweep_is_byte_identical(self, tmp_path):
+        """A CLI sweep on the fallback writes the C core's exact netlist."""
+        _run(["-m", "repro.tools", "gen", "cps", "-o", "net.blif"], tmp_path)
+        reports = {}
+        for core, satcore in (("c", None), ("python", "python")):
+            out = _run(
+                ["-m", "repro.tools", "sweep", "net.blif",
+                 "-o", f"{core}.blif"],
+                tmp_path, satcore=satcore,
+            )
+            # The first line carries verdict counts, then timings.
+            reports[core] = out.splitlines()[0].split(" gen ")[0]
+        assert reports["c"] == reports["python"]
+        assert "SAT calls" in reports["c"]
+        assert (tmp_path / "c.blif").read_bytes() == (
+            tmp_path / "python.blif"
+        ).read_bytes()

@@ -1,9 +1,10 @@
-"""Property test: all three simulation backends are bit-identical.
+"""Property test: the compiled simulator is bit-identical to the oracle.
 
 Random benchgen-style networks, random packed batches (including widths
-that exercise partial top-word masking), constant nodes, and cone
-restriction — ``Simulator``, ``NumpySimulator``, and ``CompiledSimulator``
-must agree on every node word.
+that exercise partial top-word masking), constant nodes, LUT-mapped
+benchmarks, and cone restriction — ``CompiledSimulator`` (full and
+cone-restricted) must agree with the reference ``Simulator`` on every
+node word.
 """
 
 import random
@@ -11,15 +12,9 @@ import random
 import pytest
 
 from repro.network import NetworkBuilder
-from repro.simulation import (
-    CompiledSimulator,
-    NumpySimulator,
-    PatternBatch,
-    Simulator,
-)
+from repro.benchgen import sweep_instance
+from repro.simulation import CompiledSimulator, PatternBatch, Simulator
 from tests.conftest import random_network
-
-np = pytest.importorskip("numpy")
 
 #: Widths straddling the 64-bit word boundary (partial top-word masking).
 WIDTHS = (1, 7, 63, 64, 65, 130)
@@ -56,7 +51,6 @@ def test_backends_bit_identical(seed, width):
     net = network_with_consts(seed)
     batch = PatternBatch.random_for(net, width, random.Random(seed * 31 + width))
     reference = Simulator(net).run_batch(batch)
-    assert NumpySimulator(net).run_words(batch.words(), width) == reference
     assert CompiledSimulator(net).run_batch(batch) == reference
 
 
@@ -66,15 +60,28 @@ def test_oversized_pi_words_masked_identically(width):
     rng = random.Random(width * 7)
     words = {pi: rng.getrandbits(256) for pi in net.pis}
     reference = Simulator(net).run_words(words, width)
-    assert NumpySimulator(net).run_words(words, width) == reference
     assert CompiledSimulator(net).run_words(words, width) == reference
 
 
-def test_cone_restricted_compiled_agrees_with_numpy():
+def test_cone_restricted_compiled_agrees_with_reference():
     net = network_with_consts(2)
     targets = [uid for uid in net.node_ids() if net.node(uid).is_gate][:3]
     batch = PatternBatch.random_for(net, 65, random.Random(5))
-    full = NumpySimulator(net).run_words(batch.words(), 65)
+    full = Simulator(net).run_batch(batch)
     cone = CompiledSimulator(net, targets=targets).run_batch(batch)
+    assert cone
     for uid, word in cone.items():
         assert word == full[uid]
+
+
+def test_mapped_benchmark_bit_identical():
+    net = sweep_instance("alu4")
+    batch = PatternBatch(net.pis, random.Random(3))
+    batch.add_random(128)
+    words = batch.words()
+    reference = Simulator(net).run_words(words, 128)
+    assert CompiledSimulator(net).run_words(words, 128) == reference
+    outputs = [uid for _, uid in net.pos]
+    cone = CompiledSimulator(net, targets=outputs).run_words(words, 128)
+    for uid, word in cone.items():
+        assert word == reference[uid]
